@@ -194,7 +194,9 @@ echo "== supervised fleet: worker chaos, failover, verified respawn =="
 # every respawned worker's journal replay verifies; here we addition-
 # ally demand the final state hash match an uninterrupted supervised
 # run bit for bit, and that the stderr accounting shows the respawns
-# actually happened.
+# actually happened — at least two of the three while the feed was
+# still running (rebuilds_mid_feed: catch-up replay must finish under
+# load, not only once the feed stops).
 chaos_dir="$(mktemp -d -t fleet-chaos.XXXXXX)"
 clean_hash="$(python -m repro.fleet.soak --log "$chaos_dir/clean.jsonl" \
     --events 100000 --machines 512 --shards 8 --seed 23 \
@@ -216,6 +218,11 @@ respawns="$(printf '%s\n' "$chaos_stats" | sed -n 's/.*respawns=\([0-9]*\).*/\1/
     echo "error: expected >= 3 worker respawns, got '$respawns' ($chaos_stats)" >&2
     exit 1
 }
+mid_feed="$(printf '%s\n' "$chaos_stats" | sed -n 's/.*rebuilds_mid_feed=\([0-9]*\).*/\1/p')"
+[ -n "$mid_feed" ] && [ "$mid_feed" -ge 2 ] || {
+    echo "error: expected >= 2 rebuilds mid-feed, got '$mid_feed' ($chaos_stats)" >&2
+    exit 1
+}
 case "$chaos_stats" in
     *"recovery_mismatches=0"*) ;;
     *) echo "error: recovery mismatches in chaos run ($chaos_stats)" >&2; exit 1 ;;
@@ -229,7 +236,8 @@ echo "== batched frames: 250k-app worker chaos on frame boundaries =="
 # boundaries and killed workers lose whole buffered frames, so this is
 # the proof that frame-level journal replay reconstructs exactly the
 # admitted prefix: the final hash must still match a clean (also
-# batched) supervised run bit for bit.
+# batched) supervised run bit for bit, with at least two of the three
+# rebuilds finished while the feed was still running.
 batch_dir="$(mktemp -d -t fleet-batch.XXXXXX)"
 batch_clean_hash="$(python -m repro.fleet.soak --log "$batch_dir/clean.jsonl" \
     --events 250000 --machines 1024 --shards 8 --seed 29 \
@@ -250,6 +258,11 @@ batch_stats="$(tail -n 1 "$batch_dir/chaos.err")"
 batch_respawns="$(printf '%s\n' "$batch_stats" | sed -n 's/.*respawns=\([0-9]*\).*/\1/p')"
 [ -n "$batch_respawns" ] && [ "$batch_respawns" -ge 3 ] || {
     echo "error: expected >= 3 worker respawns, got '$batch_respawns' ($batch_stats)" >&2
+    exit 1
+}
+batch_mid_feed="$(printf '%s\n' "$batch_stats" | sed -n 's/.*rebuilds_mid_feed=\([0-9]*\).*/\1/p')"
+[ -n "$batch_mid_feed" ] && [ "$batch_mid_feed" -ge 2 ] || {
+    echo "error: expected >= 2 rebuilds mid-feed, got '$batch_mid_feed' ($batch_stats)" >&2
     exit 1
 }
 case "$batch_stats" in

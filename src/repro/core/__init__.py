@@ -44,7 +44,6 @@ from .prediction import (
     ConfidentPlacement,
     PlacementPrediction,
     decide_placement,
-    decide_placement_tagged,
     predict_backend_time,
     predict_comm_cost,
     predict_frontend_time,
@@ -64,7 +63,6 @@ from .scheduler import (
     MappingProblem,
     MappingResult,
     best_mapping,
-    best_mapping_tagged,
     evaluate_mapping,
     rank_mappings,
 )
@@ -102,7 +100,6 @@ __all__ = [
     "add_application",
     "backend_times",
     "best_mapping",
-    "best_mapping_tagged",
     "build_delay_table",
     "build_sized_delay_table",
     "cm2_slowdown",
@@ -112,7 +109,6 @@ __all__ = [
     "comm_fractions",
     "decide_placement",
     "decide_placement_batch",
-    "decide_placement_tagged",
     "dedicated_comm_cost",
     "dedicated_dataset_cost",
     "dedicated_pattern_cost",

@@ -21,7 +21,6 @@ and the paper's Equation (1): offload a task to the back-end only when
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 
 from ..obs import context as _obs
@@ -38,7 +37,6 @@ __all__ = [
     "predict_comm_cost",
     "should_offload",
     "decide_placement",
-    "decide_placement_tagged",
 ]
 
 
@@ -298,39 +296,3 @@ def decide_placement(
         sp.set("best_time", result.best_time)
     _obs.inc("prediction.placements")
     return result
-
-
-def decide_placement_tagged(
-    dcomp_frontend: float,
-    backend_costs: BackendTaskCosts,
-    dcomm_out: float,
-    dcomm_in: float,
-    comp_slowdown: TaggedSlowdown,
-    comm_slowdown: TaggedSlowdown,
-    backend_serial_slowdown: TaggedSlowdown | None = None,
-) -> ConfidentPlacement:
-    """Deprecated alias of :func:`decide_placement`.
-
-    The tagged/untagged split is gone: :func:`decide_placement` now
-    accepts floats and :class:`TaggedSlowdown` values alike and always
-    returns a :class:`ConfidentPlacement`. This shim only warns and
-    forwards.
-
-    .. deprecated:: 1.1
-       Call :func:`decide_placement` directly.
-    """
-    warnings.warn(
-        "decide_placement_tagged() is deprecated; decide_placement() now "
-        "accepts tagged slowdowns and always returns a ConfidentPlacement",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    return decide_placement(
-        dcomp_frontend,
-        backend_costs,
-        dcomm_out,
-        dcomm_in,
-        comp_slowdown,
-        comm_slowdown,
-        backend_serial_slowdown,
-    )

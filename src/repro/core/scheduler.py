@@ -23,7 +23,6 @@ This module provides that example's machinery in general form:
 from __future__ import annotations
 
 import itertools
-import warnings
 from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
@@ -37,7 +36,6 @@ __all__ = [
     "ConfidentMapping",
     "evaluate_mapping",
     "best_mapping",
-    "best_mapping_tagged",
     "rank_mappings",
 ]
 
@@ -337,32 +335,3 @@ def best_mapping(
         sp.set("confidence", confident.confidence.name)
     _obs.inc("prediction.mappings")
     return confident
-
-
-def best_mapping_tagged(
-    problem: MappingProblem,
-    comp_slowdown: Mapping[str, TaggedSlowdown],
-    comm_slowdown: TaggedSlowdown | Mapping[tuple[str, str], TaggedSlowdown] | None = None,
-    max_candidates: int = 1_000_000,
-) -> ConfidentMapping:
-    """Deprecated alias of :func:`best_mapping`.
-
-    The tagged/untagged split is gone: :func:`best_mapping` now takes
-    the slowdown factors directly (floats or tagged) and always returns
-    a :class:`ConfidentMapping`. This shim only warns and forwards.
-
-    .. deprecated:: 1.1
-       Call :func:`best_mapping` directly.
-    """
-    warnings.warn(
-        "best_mapping_tagged() is deprecated; best_mapping() now accepts "
-        "tagged slowdowns and always returns a ConfidentMapping",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    return best_mapping(
-        problem,
-        comp_slowdown=comp_slowdown,
-        comm_slowdown=comm_slowdown,
-        max_candidates=max_candidates,
-    )

@@ -34,7 +34,7 @@ from .robustness import (
     saturation_sweep,
     synthetic_cm2_experiment,
 )
-from .runner import Replication, repeat_mean
+from .runner import Replication
 from .simulate import (
     BatchResult,
     BurstProbe,
@@ -101,7 +101,6 @@ __all__ = [
     "pct_error",
     "pingpong_sweep",
     "render_table",
-    "repeat_mean",
     "robustness_paragon_comm",
     "robustness_paragon_comp",
     "run_experiment",

@@ -213,7 +213,9 @@ def fleet_experiment(
         )
         vrec = service.registry.get(victim)
         # Behind the service's back: the shard forgets the app...
-        service.shards[0].managers[vrec.machine].depart(victim)
+        service.shards[0].apply(
+            {"op": "depart", "app": victim, "machine": vrec.machine}
+        )
         # ...so the next (legitimate) depart event desyncs the stream.
         service.apply({"op": "depart", "app": victim})
         quarantined = 0 in service.quarantined

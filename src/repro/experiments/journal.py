@@ -50,6 +50,7 @@ __all__ = [
     "JOURNAL_VERSION",
     "RunJournal",
     "EventLog",
+    "JournalCursor",
     "describe_task",
     "point_key",
     "active",
@@ -249,6 +250,55 @@ class RunJournal:
 # ---------------------------------------------------------------------------
 
 
+class JournalCursor:
+    """Resumable reader over an :class:`EventLog` file.
+
+    Keeps the byte offset and sequence number where the last
+    :meth:`read` stopped, so a reader that follows a growing log pays
+    O(new events) per read, not O(history) — what lets a respawned
+    fleet worker catch up with a live feed. The trust rules are
+    :meth:`EventLog.replay`'s: a line that is unterminated (a torn
+    write), does not parse, carries a foreign version, or breaks the
+    sequence ends the read, and the cursor stays in front of it.
+    """
+
+    def __init__(self, path: str | os.PathLike) -> None:
+        self.path = Path(path)
+        #: Byte offset of the first line not yet read.
+        self.offset = 0
+        #: Sequence number the next event must carry.
+        self.seq = 0
+
+    def read(self, upto: int | None = None) -> Iterator[dict[str, Any]]:
+        """Yield the durable events with ``self.seq <= seq < upto``.
+
+        ``None`` reads to the end of the file. A line at or past *upto*
+        is never parsed, so a caller that bounds *upto* by the writer's
+        sequence counter never consumes a line still being written.
+        """
+        try:
+            fh = open(self.path, "rb")
+        except OSError:
+            return
+        with fh:
+            fh.seek(self.offset)
+            for line in fh:
+                if (upto is not None and self.seq >= upto) or not line.endswith(b"\n"):
+                    return
+                if not line.strip():
+                    self.offset += len(line)
+                    continue
+                try:
+                    event = json.loads(line.decode())
+                    if event["v"] != JOURNAL_VERSION or event["seq"] != self.seq:
+                        raise ValueError("version or sequence mismatch")
+                except (ValueError, KeyError, TypeError):
+                    return
+                self.offset += len(line)
+                self.seq += 1
+                yield event
+
+
 class EventLog:
     """Append-only, sequence-numbered event stream with durable replay.
 
@@ -288,19 +338,13 @@ class EventLog:
             # Truncate any torn tail (a half-written final line after a
             # kill) so new appends extend the durable prefix — replay
             # stops at the first bad line, and an append landing after
-            # one would be unreachable. Canonical JSON is pure ASCII,
-            # so line length in characters equals length in bytes.
-            durable = 0
-            for event in self.replay(self.path):
-                self.next_seq = int(event["seq"]) + 1
-                durable += 1
-            try:
-                lines = self.path.read_text(encoding="utf-8").splitlines(keepends=True)
-            except OSError:
-                lines = []
-            keep = sum(len(line) for line in lines[:durable])
+            # one would be unreachable.
+            cursor = JournalCursor(self.path)
+            for _ in cursor.read():
+                pass
+            self.next_seq = cursor.seq
             self._fh = open(self.path, "a", encoding="utf-8")
-            self._fh.truncate(keep)
+            self._fh.truncate(cursor.offset)
         else:
             self._fh = open(self.path, "w", encoding="utf-8")
 
@@ -327,27 +371,12 @@ class EventLog:
     def replay(path: str | os.PathLike) -> Iterator[dict[str, Any]]:
         """Yield the durable events at *path* in sequence order.
 
-        Lines that do not parse (a torn final write after ``kill -9``),
-        carry a foreign version, or arrive out of sequence are skipped —
-        replay stops trusting the stream at the first gap, since events
-        after a hole could double-apply arrivals.
+        Replay stops at the first line that is torn (a half-written
+        final write after ``kill -9``), does not parse, carries a
+        foreign version, or arrives out of sequence — events after a
+        hole could double-apply arrivals (:class:`JournalCursor`).
         """
-        try:
-            text = Path(path).read_text(encoding="utf-8")
-        except OSError:
-            return
-        expect = 0
-        for line in text.splitlines():
-            if not line.strip():
-                continue
-            try:
-                event = json.loads(line)
-                if event["v"] != JOURNAL_VERSION or event["seq"] != expect:
-                    raise ValueError("version or sequence mismatch")
-            except (ValueError, KeyError, TypeError):
-                return
-            expect += 1
-            yield event
+        return JournalCursor(path).read()
 
     def close(self) -> None:
         """Flush and close the log file (idempotent)."""

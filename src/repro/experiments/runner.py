@@ -4,27 +4,24 @@ The paper measures on production systems where "the variance in
 execution time ... can be high" and aims for accuracy *on average*.
 The reproduction's analogue: every contended measurement is repeated
 with independent random streams and averaged. :class:`Replication`
-summarizes one such batch; the replication loop itself now lives
-behind :func:`repro.experiments.simulate.simulate` (``repeat_mean``
-remains as a deprecated alias of its object-backend path).
+summarizes one such batch; the replication loop itself lives behind
+:func:`repro.experiments.simulate.simulate`.
 """
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
 
-from ..errors import ReproError
 from ..obs import context as _obs
-from ..parallel import FailurePolicy, Quarantined
+from ..parallel import Quarantined
 from ..reliability.degrade import Confidence
 from ..reliability.retry import retry_with_backoff
 from ..sim.rng import RandomStreams
 
-__all__ = ["Replication", "repeat_mean"]
+__all__ = ["Replication"]
 
 #: Salt applied per retry attempt when re-forking a replication's
 #: streams — a fixed prime so retried runs are reproducible yet
@@ -146,44 +143,3 @@ class _ReplicationTask:
         return retry_with_backoff(
             run, attempts=self.retry_attempts, retry_on=self.retry_on, seed=self.seed
         )
-
-
-def repeat_mean(
-    measure: Callable[[RandomStreams], float],
-    repetitions: int = 3,
-    seed: int = 0,
-    retry_attempts: int = 1,
-    retry_on: type[BaseException] | tuple[type[BaseException], ...] = ReproError,
-    workers: int = 1,
-    policy: FailurePolicy | None = None,
-) -> Replication:
-    """Deprecated alias of :func:`repro.experiments.simulate.simulate`.
-
-    The replication harness is now the single ``simulate()`` entry
-    point; this shim only warns and forwards to the object backend
-    (the behaviour ``repeat_mean`` always had). The returned
-    :class:`~repro.experiments.simulate.BatchResult` is a
-    :class:`Replication` subclass, so every historical use keeps
-    working — journal keys included.
-
-    .. deprecated:: 1.2
-       Call :func:`repro.experiments.simulate.simulate` directly.
-    """
-    warnings.warn(
-        "repeat_mean() is deprecated; use repro.experiments.simulate(), "
-        "which runs the same replications behind a backend-selectable API",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    from .simulate import simulate
-
-    return simulate(
-        measure,
-        reps=repetitions,
-        seed=seed,
-        backend="object",
-        retry_attempts=retry_attempts,
-        retry_on=retry_on,
-        workers=workers,
-        policy=policy,
-    )

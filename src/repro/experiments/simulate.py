@@ -3,9 +3,9 @@
 Every Monte-Carlo sweep in the reproduction ultimately does the same
 thing — run one contended workload under R independent random-stream
 families and summarize the scalar results. Historically each driver
-wired that loop itself through :func:`repro.experiments.runner.repeat_mean`
-with an ad-hoc picklable measure class. :func:`simulate` replaces the
-scattered entry points with one front door:
+wired that loop itself with an ad-hoc picklable measure class.
+:func:`simulate` replaces the scattered entry points with one front
+door:
 
 * A declarative :class:`SimSpec` (platform spec + probe + contenders)
   runs on either engine — ``backend="vector"`` batches all replications
@@ -449,9 +449,9 @@ def _object_batch(
         raw = ParallelExecutor(workers=workers).map(task, range(reps), policy=policy)
         return _collect(raw)
 
-    # The journal kind and key shape are inherited from repeat_mean():
+    # The journal kind ("repeat_mean") and key shape predate this API:
     # an object-backend batch is the same computation it always was, so
-    # journals written before this API existed still replay.
+    # journals written before simulate() existed still replay.
     journal = _journal.active()
     description = _journal.describe_task(task) if journal is not None else None
     if journal is not None and description is not None:
@@ -555,9 +555,8 @@ def simulate(
         into contiguous chunks; the object backend fans out single
         replications. Values are bit-identical at any width.
     retry_attempts / retry_on / policy:
-        Object-backend replication retry and containment knobs, exactly
-        as :func:`~repro.experiments.runner.repeat_mean` took them.
-        The vector backend runs to completion in one pass and ignores
+        Object-backend replication retry and containment knobs. The
+        vector backend runs to completion in one pass and ignores
         them (a quarantined lane surfaces as a quarantined
         replication, not a retry).
     """

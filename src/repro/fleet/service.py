@@ -59,6 +59,7 @@ from .shard import (
     ShardPolicy,
     replay_stream,
     stream_step,
+    verify_replay,
 )
 
 __all__ = ["PlacementQuery", "PlacementAnswer", "FleetService"]
@@ -435,14 +436,15 @@ class FleetService:
         Gated by the shard's breaker: before ``recovery_time`` has
         passed (or after the rebuild budget is spent) the attempt is
         rejected outright. With an event log the rebuild replays the
-        durable stream through a fresh shard — bit-identical to a shard
-        that never failed — and is **verified** before re-admission:
-        the replayed event count and rolling stream hash must match the
-        service's live accounting, and when a trusted pre-quarantine
-        checkpoint exists the rebuilt ``state_hash`` must reproduce it
-        mid-stream. A mismatch (e.g. a corrupted journal line silently
-        truncating the replay) surfaces as a
-        :class:`~repro.errors.RecoveryError` in
+        durable stream through a fresh shard (:meth:`_rebuild`) —
+        bit-identical to a shard that never failed — and is
+        **verified** before re-admission
+        (:func:`~repro.fleet.shard.verify_replay`): the replayed event
+        count and rolling stream hash must match the service's live
+        accounting, and when a trusted pre-quarantine checkpoint exists
+        the rebuilt ``state_hash`` must reproduce it mid-stream. A
+        mismatch (e.g. a corrupted journal line silently truncating the
+        replay) surfaces as a :class:`~repro.errors.RecoveryError` in
         :attr:`last_recovery_error` plus the ``recovery_mismatches``
         counter, and the shard *stays quarantined*. Without a log the
         rebuild falls back to re-arriving the registry's live records,
@@ -454,76 +456,53 @@ class FleetService:
         breaker = self.breakers[sid]
         if not breaker.allow():
             return False
-        shard = self.shards[sid]
-        try:
-            from ..experiments.journal import EventLog
-
-            rebuilt = shard.fresh()
-            if self.log is not None:
-                result = replay_stream(
-                    rebuilt,
-                    EventLog.replay(self.log.path),
-                    checkpoint=self._pre_quarantine.get(sid),
-                )
-                error = self._verify_rebuild(sid, result)
-                if error is not None:
-                    self._note_recovery_mismatch(error)
-                    breaker.record_failure()
-                    return False
-            else:
-                for record in self.registry.on_machines(list(shard.machine_ids)):
-                    rebuilt.apply(
-                        {
-                            "op": "arrive",
-                            "app": record.name,
-                            "tenant": record.tenant,
-                            "machine": record.machine,
-                            "comm_fraction": record.comm_fraction,
-                            "message_size": record.message_size,
-                        }
-                    )
-        except ModelError as exc:
-            self._note_recovery_mismatch(
-                RecoveryError(
-                    f"shard {sid} rebuild could not apply the journal: {exc}",
-                    shard_id=sid,
-                    expected_events=self._stream_count[sid],
-                )
+        if self.log is not None:
+            rebuilt, result = self._rebuild(sid, self._pre_quarantine.get(sid))
+            error = verify_replay(
+                sid, result, self._stream_count[sid], self._stream_chain[sid]
             )
-            breaker.record_failure()
-            return False
-        breaker.record_success()
+            if error is not None:
+                self._note_recovery_mismatch(error)
+                breaker.record_failure()
+                return False
+        else:
+            rebuilt = self.shards[sid].fresh()
+            for record in self.registry.on_machines(list(rebuilt.machine_ids)):
+                rebuilt.apply(
+                    {
+                        "op": "arrive",
+                        "app": record.name,
+                        "tenant": record.tenant,
+                        "machine": record.machine,
+                        "comm_fraction": record.comm_fraction,
+                        "message_size": record.message_size,
+                    }
+                )
         self.shards[sid] = rebuilt
+        self._readmit(sid)
+        return True
+
+    def _rebuild(
+        self, sid: int, checkpoint: ReplayCheckpoint | None = None
+    ) -> tuple[ArrayShard | Shard, ReplayResult]:
+        """Replay the journal through a fresh copy of shard *sid*."""
+        from ..experiments.journal import EventLog
+
+        rebuilt = self.shards[sid].fresh()
+        return rebuilt, replay_stream(
+            rebuilt, EventLog.replay(self.log.path), checkpoint=checkpoint
+        )
+
+    def _readmit(self, sid: int) -> None:
+        """Lift shard *sid*'s quarantine after a verified rebuild."""
+        self.breakers[sid].record_success()
         self.quarantined.discard(sid)
         self._pre_quarantine.pop(sid, None)
         self.last_recovery_error = None
-        self._stale.update(rebuilt.machine_ids)
+        self._stale.update(self.shards[sid].machine_ids)
         self.rebuilds += 1
         _obs.inc("fleet.rebuilds")
         _obs.set_gauge("fleet.quarantined_shards", float(len(self.quarantined)))
-        return True
-
-    def _verify_rebuild(self, sid: int, result: ReplayResult) -> RecoveryError | None:
-        """Check a journal replay against the live stream accounting."""
-        expected = self._stream_count[sid]
-        if not result.checkpoint_ok:
-            return RecoveryError(
-                f"shard {sid} rebuild missed its pre-quarantine checkpoint: "
-                f"{result.detail}",
-                shard_id=sid,
-                expected_events=expected,
-                replayed_events=result.count,
-            )
-        if result.count != expected or result.chain != self._stream_chain[sid]:
-            return RecoveryError(
-                f"shard {sid} rebuild replayed {result.count} event(s) where the "
-                f"service admitted {expected} (journal truncated, corrupted, or "
-                f"reordered)",
-                shard_id=sid,
-                expected_events=expected,
-                replayed_events=result.count,
-            )
-        return None
 
     def _note_recovery_mismatch(self, error: RecoveryError) -> None:
         self.last_recovery_error = error

@@ -30,7 +30,7 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Mapping
+from typing import Iterable, Mapping
 
 import numpy as np
 
@@ -39,7 +39,7 @@ from ..core.params import DelayTable, SizedDelayTable
 from ..core.probability import add_application, overlap_distribution, remove_application
 from ..core.runtime import SlowdownManager
 from ..core.workload import ApplicationProfile
-from ..errors import ModelError
+from ..errors import ModelError, RecoveryError
 from ..reliability.degrade import Confidence
 from ..units import check_fraction, check_nonnegative
 
@@ -52,6 +52,7 @@ __all__ = [
     "STREAM_FIELDS",
     "replay_stream",
     "stream_step",
+    "verify_replay",
 ]
 
 #: Event fields that determine shard state. Sequence stamps (``seq``,
@@ -92,7 +93,7 @@ class ReplayCheckpoint:
 
 @dataclass(frozen=True)
 class ReplayResult:
-    """What :func:`replay_stream` reproduced, for verification.
+    """What :func:`replay_stream` reproduced, for :func:`verify_replay`.
 
     Attributes
     ----------
@@ -101,12 +102,12 @@ class ReplayResult:
     chain:
         Final rolling stream hash (:func:`stream_step`) over them.
     checkpoint_ok:
-        False when a :class:`ReplayCheckpoint` was given and the
-        rebuilt state missed it (wrong hash at the checkpoint count, or
-        the stream ended before reaching it).
+        False when the replay cannot be trusted whatever its count: a
+        :class:`ReplayCheckpoint` was given and the rebuilt state missed
+        it (wrong hash at the checkpoint count, or the stream ended
+        before reaching it), or an owned event failed to apply.
     detail:
-        Human-readable mismatch description when ``checkpoint_ok`` is
-        False.
+        Human-readable description of why ``checkpoint_ok`` is False.
     """
 
     count: int
@@ -126,37 +127,69 @@ def replay_stream(
 
     Events for machines the shard does not own are skipped (the journal
     is fleet-wide; each shard replays its slice). *chain* and *already*
-    continue a previous segment — catch-up rounds of an incremental
-    replay pass the chain and count where the last round stopped, so
-    the returned count/chain stay cumulative over the whole stream.
-    Raises :class:`~repro.errors.ModelError` if an owned event fails to
-    apply — a corrupt or reordered journal.
+    continue a previous segment — a respawned worker's catch-up rounds
+    pass the chain and count where the last round stopped, so the
+    returned count/chain stay cumulative over the whole stream. An
+    owned event that fails to apply (a corrupt or reordered journal)
+    ends the replay with ``checkpoint_ok`` False instead of raising.
     """
     owned = set(shard.machine_ids)
     count = already
     checkpoint_ok = True
     detail: str | None = None
-    for event in events:
-        if event.get("machine") not in owned:
-            continue
-        shard.apply(event)
-        count += 1
-        chain = stream_step(chain, event)
-        if checkpoint is not None and count == checkpoint.count:
-            got = shard.state_hash()
-            if got != checkpoint.state_hash:
-                checkpoint_ok = False
-                detail = (
-                    f"state hash at event {count} is {got}, "
-                    f"expected {checkpoint.state_hash}"
-                )
+    try:
+        for event in events:
+            if event.get("machine") not in owned:
+                continue
+            shard.apply(event)
+            count += 1
+            chain = stream_step(chain, event)
+            if checkpoint is not None and count == checkpoint.count:
+                got = shard.state_hash()
+                if got != checkpoint.state_hash:
+                    checkpoint_ok = False
+                    detail = (
+                        f"missed its pre-quarantine checkpoint: state hash at "
+                        f"event {count} is {got}, expected {checkpoint.state_hash}"
+                    )
+    except ModelError as exc:
+        return ReplayResult(count, chain, False, f"could not apply the journal: {exc}")
     if checkpoint is not None and count < checkpoint.count and checkpoint_ok:
         checkpoint_ok = False
         detail = (
-            f"stream ended at {count} events, before the checkpoint "
-            f"at {checkpoint.count}"
+            f"missed its pre-quarantine checkpoint: stream ended at {count} "
+            f"events, before the checkpoint at {checkpoint.count}"
         )
     return ReplayResult(count, chain, checkpoint_ok, detail)
+
+
+def verify_replay(
+    shard_id: int, result: ReplayResult, count: int, chain: bytes
+) -> RecoveryError | None:
+    """Check a replay against the stream the service accounted for.
+
+    *count* and *chain* are the owned events admitted and their rolling
+    :func:`stream_step` hash. A rebuild is trusted only when it
+    reproduced exactly that stream and, where one was pinned, the
+    pre-quarantine checkpoint; anything else is the
+    :class:`~repro.errors.RecoveryError` to report, and the shard stays
+    quarantined.
+    """
+    if result.checkpoint_ok and result.count == count and result.chain == chain:
+        return None
+    if result.checkpoint_ok:
+        why = (
+            f"replayed {result.count} event(s) where the service admitted "
+            f"{count} (journal truncated, corrupted, or reordered)"
+        )
+    else:
+        why = str(result.detail)
+    return RecoveryError(
+        f"shard {shard_id} rebuild {why}",
+        shard_id=shard_id,
+        expected_events=count,
+        replayed_events=result.count,
+    )
 
 
 @dataclass(frozen=True)
@@ -330,108 +363,6 @@ class Shard:
     def fresh(self) -> "Shard":
         """A new empty shard with the same id, machines and tables."""
         return Shard(self.shard_id, self.machine_ids, *self._tables)
-
-
-class _MachineView:
-    """A :class:`SlowdownManager`-shaped façade over one :class:`ArrayShard` row.
-
-    Exists so code written against ``shard.managers[machine]`` (tests,
-    the desync phase of the fleet experiment) keeps working against the
-    struct-of-arrays backend. Mutations go straight to the shard's
-    arrays and — exactly like calling a manager directly — bypass the
-    shard's dirty set and ``applied`` counter.
-    """
-
-    __slots__ = ("_shard", "_machine", "_i")
-
-    def __init__(self, shard: "ArrayShard", machine: int) -> None:
-        self._shard = shard
-        self._machine = machine
-        self._i = shard._row[machine]
-
-    def __len__(self) -> int:
-        return int(self._shard._plen[self._i])
-
-    def __contains__(self, name: str) -> bool:
-        return name in self._shard._slots[self._i]
-
-    def __iter__(self) -> Iterator[ApplicationProfile]:
-        return iter(self.snapshot().values())
-
-    @property
-    def p(self) -> int:
-        return len(self)
-
-    @property
-    def pcomm(self) -> np.ndarray:
-        i, p = self._i, len(self)
-        return self._shard._pcomm[i, : p + 1].copy()
-
-    @property
-    def pcomp(self) -> np.ndarray:
-        i, p = self._i, len(self)
-        return self._shard._pcomp[i, : p + 1].copy()
-
-    def arrive(self, profile: ApplicationProfile) -> None:
-        self._shard._arrive(
-            self._i, profile.name, profile.comm_fraction, profile.message_size
-        )
-
-    def depart(self, name: str) -> None:
-        self._shard._depart(self._i, name)
-
-    def max_message_size(self) -> float:
-        return self._shard._max_message_size(self._i)
-
-    def snapshot(self) -> Mapping[str, ApplicationProfile]:
-        shard, i = self._shard, self._i
-        return {
-            name: ApplicationProfile(
-                name=name,
-                comm_fraction=float(shard._frac[slot]),
-                message_size=float(shard._size[slot]),
-            )
-            for name, slot in shard._slots[i].items()
-        }
-
-
-class _MachineViews:
-    """Mapping-style ``managers`` compatibility container for :class:`ArrayShard`."""
-
-    __slots__ = ("_shard",)
-
-    def __init__(self, shard: "ArrayShard") -> None:
-        self._shard = shard
-
-    def __getitem__(self, machine: int) -> _MachineView:
-        if machine not in self._shard._row:
-            raise KeyError(machine)
-        return _MachineView(self._shard, machine)
-
-    def get(self, machine: int, default=None):
-        if machine not in self._shard._row:
-            return default
-        return _MachineView(self._shard, machine)
-
-    def __contains__(self, machine: int) -> bool:
-        return machine in self._shard._row
-
-    def __len__(self) -> int:
-        return len(self._shard._row)
-
-    def __iter__(self) -> Iterator[int]:
-        return iter(self._shard._row)
-
-    def keys(self):
-        return self._shard._row.keys()
-
-    def values(self) -> Iterator[_MachineView]:
-        for machine in self._shard._row:
-            yield _MachineView(self._shard, machine)
-
-    def items(self):
-        for machine in self._shard._row:
-            yield machine, _MachineView(self._shard, machine)
 
 
 class ArrayShard:
@@ -744,11 +675,6 @@ class ArrayShard:
                 Confidence(int(self._mconf[i])),
             )
         return out
-
-    @property
-    def managers(self) -> _MachineViews:
-        """Per-machine :class:`SlowdownManager`-compatible views."""
-        return _MachineViews(self)
 
     def population(self) -> int:
         """Total applications registered across this shard's machines."""

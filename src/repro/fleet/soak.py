@@ -27,7 +27,9 @@ The modes compose into the recovery proofs (used by both
   query against the dead shard's machines is answered — ANALYTIC, not
   an exception. The service never raising, the failover answers, and
   the final bit-identity are all checked in-process, so a passing exit
-  code is the chaos proof.
+  code is the chaos proof. The stderr stats line's
+  ``rebuilds_mid_feed=`` counts the rebuilds that finished while the
+  feed was still running.
 
 Because the feed is a pure function of its seed, the log preserves
 exactly the admitted prefix, and every shard's state is a pure
@@ -113,8 +115,14 @@ def run_soak(
     depart_probability: float = 0.35,
     sync: bool = True,
     batch_size: int = 1,
-) -> FleetService:
-    """Drive one soak run; returns the service at its final state."""
+) -> tuple[FleetService, int]:
+    """Drive one soak run.
+
+    Returns the service at its final state and the number of shard
+    rebuilds that had finished when the feed ended — before the driver
+    waits for recovery, so it counts only respawns that caught up with
+    a running feed.
+    """
     log = EventLog(log_path, resume=resume, sync=sync)
     # Soak populations may dwarf the default per-tenant cap; the soak
     # measures recovery, not quota enforcement.
@@ -181,6 +189,7 @@ def run_soak(
             # A real crash: no flush, no atexit, no goodbye.
             os.kill(os.getpid(), signal.SIGKILL)
     service.pump()
+    rebuilds_mid_feed = service.rebuilds
     if isinstance(service, SupervisedFleetService):
         # Late faults may surface after the feed ends: keep supervising
         # until every pending quarantine has been probed, then demand
@@ -206,7 +215,7 @@ def run_soak(
             raise AssertionError(
                 f"only {probes_fired} of {expected} chaos probes fired"
             )
-    return service
+    return service, rebuilds_mid_feed
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -274,7 +283,7 @@ def main(argv: list[str] | None = None) -> int:
     if args.kill_worker_at is not None:
         chaos.append((args.kill_worker_at, "sigkill", args.kill_shard % args.shards))
         chaos.sort()
-    service = run_soak(
+    service, rebuilds_mid_feed = run_soak(
         log_path=args.log,
         events=args.events,
         machines=args.machines,
@@ -302,6 +311,7 @@ def main(argv: list[str] | None = None) -> int:
     if supervised:
         line += (
             f" respawns={counters['respawns']}"
+            f" rebuilds_mid_feed={rebuilds_mid_feed}"
             f" worker_failures={counters['worker_failures']}"
             f" heartbeats_missed={counters['heartbeats_missed']}"
             f" replay_events={counters['replay_events']}"

@@ -17,16 +17,23 @@ and adds a supervision tree over the workers:
 * **Journal-backed respawn.** A respawned worker replays the durable
   :class:`~repro.experiments.journal.EventLog` in catch-up rounds: a
   first round up to the sequence number current at respawn time, then
-  shrinking delta rounds over whatever the feed logged while the
-  previous round ran, until a verified round leaves nothing uncovered.
-  Each round reports the cumulative replayed count, the rolling stream
-  chain, and whether it reproduced the pre-quarantine checkpoint (the
-  last heartbeat's ``(applied, state_hash)``). Only a bit-identical
-  rebuild is re-admitted; anything else surfaces as a
-  :class:`~repro.errors.RecoveryError` and the shard stays
-  quarantined. While a worker replays, its slice receives no applies —
-  the journal covers them — so a long replay cannot trip its own
-  backpressure.
+  delta rounds over whatever the feed logged while the previous round
+  ran. The worker keeps its journal position, so a round costs
+  O(delta), not O(history). Every round is verified
+  (:func:`~repro.fleet.shard.verify_replay`) against the stream
+  accounting taken when it was sent: cumulative replayed count,
+  rolling stream chain, and the pre-quarantine checkpoint (the last
+  heartbeat's ``(applied, state_hash)``). A verified round that leaves
+  nothing uncovered re-admits the shard. Rounds end even under a
+  steady feed: once a round is no smaller than the one before it, it
+  is the *handover* round — events admitted after it was sent are
+  framed and queued behind it in the pipe instead of opening another
+  round, and the shard stays quarantined (its queries ANALYTIC) until
+  that round verifies. A failed verification at any round surfaces as
+  a :class:`~repro.errors.RecoveryError`, fails the worker, and drops
+  whatever frames were queued behind it — the journal covers them.
+  Before the handover, a replaying worker's slice receives no applies,
+  so a long replay cannot trip its own backpressure.
 * **Failover answers.** While a shard is dead or replaying, queries
   touching its machines are answered from the registry's analytic
   aggregates (``p + 1``, ``1 + Σ f_k``) at ANALYTIC confidence —
@@ -65,16 +72,15 @@ from __future__ import annotations
 import multiprocessing
 import time
 from dataclasses import dataclass, field
-from typing import Any, Callable, Mapping, Sequence
+from typing import Any, Callable, Mapping, NamedTuple, Sequence
 
 from ..core.params import DelayTable, SizedDelayTable
-from ..errors import RecoveryError
 from ..obs import context as _obs
 from ..parallel.containment import FailurePolicy
 from ..reliability.degrade import Confidence
 from .admission import AdmissionController
 from .service import FleetService, PlacementAnswer, PlacementQuery
-from .shard import ReplayCheckpoint, ShardPolicy, replay_stream
+from .shard import ReplayCheckpoint, ReplayResult, ShardPolicy, verify_replay
 from .worker import FAULT_KINDS, PendingRequest, WorkerHandle, WorkerUnavailable
 
 __all__ = ["SupervisorPolicy", "SupervisedFleetService"]
@@ -92,6 +98,15 @@ _EXPECTED_ACK = {
 }
 
 
+class _Round(NamedTuple):
+    """A replay round in flight and the accounting it must reproduce."""
+
+    lo: int  # first journal seq the round covers
+    upto: int  # journal seq it stops before
+    count: int  # owned events admitted before ``upto``
+    chain: bytes  # their rolling stream chain
+
+
 @dataclass(frozen=True)
 class SupervisorPolicy:
     """Supervision-tree parameters for :class:`SupervisedFleetService`.
@@ -102,12 +117,9 @@ class SupervisorPolicy:
         Seconds between pings to an idle live worker.
     heartbeat_timeout:
         Seconds a ping may stay unanswered before it counts as a
-        missed heartbeat (and fails the worker).
-    heartbeat_hash:
-        Ask for the worker's ``state_hash`` with each ping. The
-        ``(applied, hash)`` pair becomes the pre-quarantine checkpoint
-        a later replay must reproduce mid-stream; turning it off
-        trades that verification depth for cheaper heartbeats.
+        missed heartbeat (and fails the worker). Each pong carries the
+        worker's ``(applied, state_hash)``: the pre-quarantine
+        checkpoint a later replay must reproduce mid-stream.
     max_inflight:
         Per-worker bound on unacknowledged requests (apply *frames*,
         not individual events). Sized so the worst-case backlog stays
@@ -123,7 +135,7 @@ class SupervisorPolicy:
         injection), so acks, stream accounting, heartbeat checkpoints
         and replay all stay on frame boundaries.
     replay_deadline:
-        Seconds a respawned worker gets to replay the journal.
+        Seconds a respawned worker gets for each journal replay round.
     soft_backpressure:
         Seconds the parent will yield to a worker whose in-flight
         window is full before declaring hard backpressure and
@@ -139,7 +151,6 @@ class SupervisorPolicy:
 
     heartbeat_interval: float = 0.5
     heartbeat_timeout: float = 2.0
-    heartbeat_hash: bool = True
     max_inflight: int = 64
     batch_size: int = 1
     replay_deadline: float = 60.0
@@ -293,27 +304,7 @@ class SupervisedFleetService(FleetService):
         if not self.breakers[sid].allow():
             return
         handle = self._spawn(sid, now)
-        checkpoint = self._pre_quarantine.get(sid)
-        raw_checkpoint = (
-            (checkpoint.count, checkpoint.state_hash) if checkpoint else None
-        )
-        # Snapshot the stream accounting *at send time*: events logged
-        # while the replay runs are outside its scope — they are picked
-        # up by catch-up rounds (:meth:`_finish_replay`).
-        meta = (
-            self._stream_count[sid],
-            self._stream_chain[sid],
-            self.log.next_seq,
-        )
-        try:
-            handle.request(
-                ("replay", 0, self.log.next_seq, raw_checkpoint),
-                "replay",
-                self.supervisor.replay_deadline,
-                now,
-                meta=meta,
-            )
-        except WorkerUnavailable:
+        if not self._send_round(sid, handle, 0, self._pre_quarantine.get(sid), now):
             handle.kill()
             self.breakers[sid].record_failure()
             return
@@ -322,90 +313,61 @@ class SupervisedFleetService(FleetService):
         self.respawns += 1
         _obs.inc("fleet.respawns")
 
-    def _finish_replay(
+    def _send_round(
         self,
         sid: int,
-        meta: tuple[int, bytes, int],
-        count: int,
-        chain_hex: str,
-        checkpoint_ok: bool,
-        detail: str | None,
-    ) -> None:
-        """Verify one replay round; catch up, re-admit, or stay quarantined.
+        worker: WorkerHandle,
+        lo: int,
+        checkpoint: ReplayCheckpoint | None,
+        now: float,
+    ) -> bool:
+        """Ask *worker* to replay the journal from seq *lo* to the log head.
 
-        *meta* is the stream accounting snapshot taken when the round
-        was sent: ``(owned events admitted, rolling chain, log seq the
-        round covers up to)``. The worker's reported count and chain
-        are cumulative across rounds, so each round verifies against
-        its own snapshot. Events logged while the round ran are outside
-        its scope — a shrinking delta round covers them, and only when
-        a verified round leaves nothing uncovered does the worker go
-        live. The deltas converge geometrically: replaying a batch is
-        far cheaper than admitting (validating, logging, fanning out)
-        the same batch was.
+        The stream accounting is snapshotted *at send time*: events
+        logged while the round runs are outside its scope.
         """
-        expected_count, expected_chain, upto_sent = meta
-        worker = self._workers[sid]
-        error: RecoveryError | None = None
-        if not checkpoint_ok:
-            error = RecoveryError(
-                f"shard {sid} respawn missed its pre-quarantine checkpoint: "
-                f"{detail}",
-                shard_id=sid,
-                expected_events=expected_count,
-                replayed_events=max(count, 0),
+        upto = self.log.next_seq
+        meta = _Round(lo, upto, self._stream_count[sid], self._stream_chain[sid])
+        try:
+            return worker.request(
+                ("replay", upto, checkpoint),
+                "replay",
+                self.supervisor.replay_deadline,
+                now,
+                meta=meta,
             )
-        elif count != expected_count or bytes.fromhex(chain_hex) != expected_chain:
-            error = RecoveryError(
-                f"shard {sid} respawn replayed {count} event(s) where the "
-                f"service admitted {expected_count} (journal truncated, "
-                f"corrupted, or reordered)",
-                shard_id=sid,
-                expected_events=expected_count,
-                replayed_events=max(count, 0),
-            )
+        except WorkerUnavailable:
+            return False
+
+    def _finish_replay(self, sid: int, meta: _Round, result: ReplayResult) -> None:
+        """Verify one replay round; catch up, hand over, or re-admit.
+
+        The worker reports cumulative counts and chains, so each round
+        verifies against the snapshot taken when it was sent. Events
+        logged while a round ran are covered by another round — unless
+        that round would be no smaller than the one just verified:
+        then it is the handover round, and later events queue behind
+        it as apply frames. Rounds therefore shrink strictly until the
+        handover, and the catch-up always ends.
+        """
+        error = verify_replay(sid, result, meta.count, meta.chain)
         if error is not None:
             self._note_recovery_mismatch(error)
             self._fail_worker(sid, "recovery verification failed")
             return
-        # The worker reports cumulative counts; charge only this
-        # round's delta to the counter.
-        round_events = count - worker.replayed
-        worker.replayed = count
-        self.replay_events += round_events
-        _obs.inc("fleet.replay_events", round_events)
+        worker = self._workers[sid]
         now = self._clock()
-        if self.log is not None and self.log.next_seq > upto_sent:
-            # Verified, but the feed moved on while the round ran:
-            # send the delta round before re-admitting.
-            next_meta = (
-                self._stream_count[sid],
-                self._stream_chain[sid],
-                self.log.next_seq,
-            )
-            try:
-                sent = worker.request(
-                    ("replay", upto_sent, self.log.next_seq, None),
-                    "replay",
-                    self.supervisor.replay_deadline,
-                    now,
-                    meta=next_meta,
-                )
-            except WorkerUnavailable:
-                sent = False
-            if not sent:
+        behind = self.log.next_seq - meta.upto
+        if behind and not worker.handover:
+            worker.handover = behind >= meta.upto - meta.lo
+            if not self._send_round(sid, worker, meta.upto, None, now):
                 self._fail_worker(sid, "catch-up replay round could not be sent")
             return
         worker.state = WorkerHandle.LIVE
         worker.last_ping = now
-        self.breakers[sid].record_success()
-        self.quarantined.discard(sid)
-        self._pre_quarantine.pop(sid, None)
-        self.last_recovery_error = None
-        self._stale.update(self.shards[sid].machine_ids)
-        self.rebuilds += 1
-        _obs.inc("fleet.rebuilds")
-        _obs.set_gauge("fleet.quarantined_shards", float(len(self.quarantined)))
+        self.replay_events += result.count
+        _obs.inc("fleet.replay_events", result.count)
+        self._readmit(sid)
 
     # -- acknowledgement plumbing ----------------------------------------------
 
@@ -424,13 +386,9 @@ class SupervisedFleetService(FleetService):
             )
             return
         if tag == "pong":
-            applied, digest = response[1], response[2]
-            if digest is not None:
-                self._checkpoints[sid] = ReplayCheckpoint(int(applied), digest)
+            self._checkpoints[sid] = ReplayCheckpoint(int(response[1]), response[2])
         elif tag == "replayed":
-            self._finish_replay(
-                sid, entry.meta, response[1], response[2], response[3], response[4]
-            )
+            self._finish_replay(sid, entry.meta, response[1])
 
     def _drain(self, sid: int) -> None:
         """Process every ready acknowledgement from worker *sid*."""
@@ -469,9 +427,9 @@ class SupervisedFleetService(FleetService):
 
     def _expired(self, worker: WorkerHandle, now: float) -> PendingRequest | None:
         if worker.state == WorkerHandle.REPLAYING:
-            # A replaying worker holds exactly its replay-round request
-            # (applies are withheld until it goes live); only the head
-            # deadline is meaningful.
+            # A replaying worker holds its replay-round request, plus —
+            # on the handover round — apply frames that cannot be
+            # answered before it; only the head deadline is meaningful.
             head = worker.oldest()
             if (
                 head is not None
@@ -522,7 +480,7 @@ class SupervisedFleetService(FleetService):
                 else:
                     self._fail_worker(sid, f"{expired.kind} deadline exceeded")
                 continue
-            if worker.state == WorkerHandle.LIVE and self._frames[sid]:
+            if worker.accepting and self._frames[sid]:
                 # Ship any partial frame each sweep so a slow feed
                 # never parks events in the buffer indefinitely.
                 self._flush_frame(sid)
@@ -535,10 +493,7 @@ class SupervisedFleetService(FleetService):
             ):
                 try:
                     if worker.request(
-                        ("ping", policy.heartbeat_hash),
-                        "ping",
-                        policy.heartbeat_timeout,
-                        now,
+                        ("ping",), "ping", policy.heartbeat_timeout, now
                     ):
                         worker.last_ping = now
                 except WorkerUnavailable:
@@ -551,11 +506,11 @@ class SupervisedFleetService(FleetService):
     # -- shard backend seam (process-backed) -----------------------------------
 
     def _shard_accepts(self, sid: int) -> bool:
-        # Only live workers take events. A replaying worker's slice is
+        # Live workers, and workers on their handover round, take
+        # events. Before the handover a replaying worker's slice is
         # covered by the journal: events keep being logged and chained,
-        # and the catch-up rounds deliver them — sending applies during
-        # a replay would just pile up behind it and trip backpressure.
-        return self._workers[sid].state == WorkerHandle.LIVE
+        # and the catch-up rounds deliver them.
+        return self._workers[sid].accepting
 
     def _shard_apply(self, sid: int, validated: dict[str, Any]) -> None:
         self._drain(sid)
@@ -577,7 +532,7 @@ class SupervisedFleetService(FleetService):
             return
         worker = self._workers[sid]
         self._frames[sid] = []
-        if worker.state != WorkerHandle.LIVE:
+        if not worker.accepting:
             # Already failed or replaying: the journal covers the
             # buffered events; replay delivers them.
             return
@@ -671,10 +626,7 @@ class SupervisedFleetService(FleetService):
         # Dead or replaying worker: derive the hash the worker will
         # converge to by replaying the journal locally — deterministic,
         # it is the exact same stream.
-        from ..experiments.journal import EventLog
-
-        rebuilt = self.shards[sid].fresh()
-        replay_stream(rebuilt, EventLog.replay(self.log.path))
+        rebuilt, _ = self._rebuild(sid)
         return rebuilt.state_hash()
 
     def _recovery_checkpoint(

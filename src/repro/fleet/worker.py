@@ -5,17 +5,17 @@
 shard's slice of the event feed over a pipe (the supervisor partitions
 by ``shard_of``), and answers every request in order:
 
-==============================  ===========================================
-request                         response
-==============================  ===========================================
-``("apply", [events])``         ``("ok", n_applied)`` or ``("err", message)``
-``("slowdowns", [machines])``   ``("slowdowns", {m: (comp, comm, conf)})``
-``("ping", want_hash)``         ``("pong", applied, state_hash_or_None)``
-``("hash",)``                   ``("hash", digest)``
-``("replay", lo, hi, cp)``      ``("replayed", count, chain_hex, cp_ok, why)``
-``("inject", kind, after)``     ``("ok",)``
-``("shutdown",)``               ``("ok",)`` then the process exits
-==============================  ===========================================
+================================  =========================================
+request                           response
+================================  =========================================
+``("apply", [events])``           ``("ok", n_applied)`` or ``("err", message)``
+``("slowdowns", [machines])``     ``("slowdowns", {m: (comp, comm, conf)})``
+``("ping",)``                     ``("pong", applied, state_hash)``
+``("hash",)``                     ``("hash", digest)``
+``("replay", upto, checkpoint)``  ``("replayed", ReplayResult)``
+``("inject", kind, after)``       ``("ok",)``
+``("shutdown",)``                 ``("ok",)`` then the process exits
+================================  =========================================
 
 Responses come back strictly FIFO — a pipe is an ordered byte stream
 and the loop answers one request before reading the next — so the
@@ -38,16 +38,18 @@ answering (``hang``), or lets an exception escape the loop
 quarantine, respawn, replay — which is exactly what the chaos soak
 asserts.
 
-``("replay", from_seq, upto_seq, checkpoint)`` rebuilds the shard from
-the durable :class:`~repro.experiments.journal.EventLog`: the worker
-replays every owned event with ``from_seq <= seq < upto_seq`` through
-:func:`~repro.fleet.shard.replay_stream` and reports the *cumulative*
-replayed count, the rolling stream chain, and whether the
-pre-quarantine checkpoint was reproduced. The chain and count persist
-across requests, so the supervisor can catch a respawned worker up
-incrementally — a first full replay, then shrinking delta rounds over
-whatever was logged while the previous round ran — and verify each
-round against its own cumulative accounting. Bit-identical or
+``("replay", upto_seq, checkpoint)`` rebuilds the shard from the
+durable :class:`~repro.experiments.journal.EventLog`: the worker replays
+every owned event with ``seq < upto_seq`` that it has not read yet
+through :func:`~repro.fleet.shard.replay_stream` and answers with the
+*cumulative* :class:`~repro.fleet.shard.ReplayResult` — replayed count,
+rolling stream chain, and whether the pre-quarantine checkpoint was
+reproduced. Its journal cursor and chain persist across requests, so
+a catch-up round costs O(events logged since the last round), not
+O(history), and never parses a line at or past ``upto_seq`` (the
+supervisor bounds it by the log's sequence counter, so a torn tail is
+never consumed). The supervisor verifies each round against its own
+cumulative accounting (:mod:`repro.fleet.supervisor`). Bit-identical or
 quarantined.
 """
 
@@ -60,11 +62,11 @@ import time
 import traceback
 from dataclasses import dataclass
 from multiprocessing.reduction import ForkingPickler
-from typing import Any, Callable, Iterable, Sequence
+from typing import Any, Callable, Sequence
 
 from ..errors import ModelError
 from .admission import BoundedQueue
-from .shard import ArrayShard, ReplayCheckpoint, replay_stream
+from .shard import ArrayShard, replay_stream
 
 __all__ = ["worker_main", "WorkerHandle", "WorkerUnavailable", "FAULT_KINDS"]
 
@@ -88,8 +90,13 @@ def worker_main(
     log_path: str | None,
 ) -> None:
     """Child-process entry point: serve one shard until shutdown/EOF."""
+    from ..experiments.journal import JournalCursor
+
     shard = ArrayShard(shard_id, machine_ids, *tables)
-    chain = b""  # rolling stream hash, cumulative across replay rounds
+    # Journal read position and rolling stream hash, both cumulative
+    # across replay rounds.
+    cursor = JournalCursor(log_path) if log_path is not None else None
+    chain = b""
     fault: dict[str, Any] | None = None
     try:
         while True:
@@ -132,45 +139,19 @@ def worker_main(
                     answer[machine] = (comp, comm, int(conf))
                 conn.send(("slowdowns", answer))
             elif op == "ping":
-                digest = shard.state_hash() if msg[1] else None
-                conn.send(("pong", shard.applied, digest))
+                conn.send(("pong", shard.applied, shard.state_hash()))
             elif op == "hash":
                 conn.send(("hash", shard.state_hash()))
             elif op == "replay":
-                from_seq, upto_seq, raw_checkpoint = msg[1], msg[2], msg[3]
-                checkpoint = (
-                    ReplayCheckpoint(*raw_checkpoint)
-                    if raw_checkpoint is not None
-                    else None
+                result = replay_stream(
+                    shard,
+                    cursor.read(msg[1]),
+                    checkpoint=msg[2],
+                    chain=chain,
+                    already=shard.applied,
                 )
-                from ..experiments.journal import EventLog
-
-                events: Iterable[Any] = (
-                    event
-                    for event in EventLog.replay(log_path)
-                    if from_seq <= event.get("seq", 0) < upto_seq
-                )
-                try:
-                    result = replay_stream(
-                        shard,
-                        events,
-                        checkpoint=checkpoint,
-                        chain=chain,
-                        already=shard.applied,
-                    )
-                except ModelError as exc:
-                    conn.send(("replayed", -1, "", False, f"replay raised: {exc}"))
-                else:
-                    chain = result.chain
-                    conn.send(
-                        (
-                            "replayed",
-                            result.count,
-                            result.chain.hex(),
-                            result.checkpoint_ok,
-                            result.detail,
-                        )
-                    )
+                chain = result.chain
+                conn.send(("replayed", result))
             elif op == "inject":
                 fault = {"kind": str(msg[1]), "after": int(msg[2])}
                 conn.send(("ok",))
@@ -213,7 +194,9 @@ class WorkerHandle:
           └──breaker allows──── "dead" ◄──────┘
 
     (A first-boot worker starts "live": an empty shard trivially
-    matches an empty stream.)
+    matches an empty stream.) A replaying worker whose in-flight round
+    is the *handover* round (``handover``) also takes apply frames,
+    which queue behind that round in the pipe.
     """
 
     LIVE = "live"
@@ -234,9 +217,9 @@ class WorkerHandle:
         self.pending: BoundedQueue = BoundedQueue(max_inflight)
         self.state = self.LIVE
         self.last_ping = now
-        #: Cumulative events the worker has replayed across rounds
-        #: (mirrors its reported counts; the supervisor charges deltas).
-        self.replayed = 0
+        #: The in-flight replay round is the last one: events admitted
+        #: after it was sent are framed behind it instead of replayed.
+        self.handover = False
         parent_conn, child_conn = ctx.Pipe()
         self.process = ctx.Process(
             target=worker_main,
@@ -254,6 +237,13 @@ class WorkerHandle:
 
     def alive(self) -> bool:
         return self.process.is_alive()
+
+    @property
+    def accepting(self) -> bool:
+        """Takes apply frames: live, or replaying its handover round."""
+        return self.state == self.LIVE or (
+            self.state == self.REPLAYING and self.handover
+        )
 
     def _send_with_deadline(self, msg: tuple, timeout: float) -> None:
         """``conn.send`` that cannot block forever on a full OS pipe.

@@ -17,7 +17,7 @@ from repro.experiments.journal import (
     point,
     point_key,
 )
-from repro.experiments.runner import repeat_mean
+from repro.experiments.simulate import simulate
 from repro.sim.rng import RandomStreams
 
 
@@ -172,32 +172,34 @@ class TestAmbientJournal:
 
 
 class TestRepeatMeanJournaling:
+    """Object-backend batches journal under the ``repeat_mean`` kind."""
+
     def test_replay_is_bit_identical_and_skips_compute(self, tmp_path):
         path = tmp_path / "run.jsonl"
         with RunJournal(path) as journal, journaled(journal):
-            fresh = repeat_mean(_draw, repetitions=4, seed=11)
+            fresh = simulate(_draw, reps=4, seed=11, backend="object")
         assert journal.misses == 1
         with RunJournal(path, resume=True) as resumed, journaled(resumed):
-            replayed = repeat_mean(_draw, repetitions=4, seed=11)
+            replayed = simulate(_draw, reps=4, seed=11, backend="object")
         assert resumed.hits == 1 and resumed.misses == 0
         assert replayed.values == fresh.values
 
     def test_journaled_equals_unjournaled(self, tmp_path):
-        bare = repeat_mean(_draw, repetitions=3, seed=4)
+        bare = simulate(_draw, reps=3, seed=4, backend="object")
         with RunJournal(tmp_path / "run.jsonl") as journal, journaled(journal):
-            journaled_rep = repeat_mean(_draw, repetitions=3, seed=4)
+            journaled_rep = simulate(_draw, reps=3, seed=4, backend="object")
         assert journaled_rep.values == bare.values
 
     def test_key_covers_seed_and_repetitions(self, tmp_path):
         with RunJournal(tmp_path / "run.jsonl") as journal, journaled(journal):
-            repeat_mean(_draw, repetitions=2, seed=1)
-            repeat_mean(_draw, repetitions=2, seed=2)
-            repeat_mean(_draw, repetitions=3, seed=1)
+            simulate(_draw, reps=2, seed=1, backend="object")
+            simulate(_draw, reps=2, seed=2, backend="object")
+            simulate(_draw, reps=3, seed=1, backend="object")
         assert journal.misses == 3
 
     def test_undescribable_measure_computes_unjournaled(self, tmp_path):
         with RunJournal(tmp_path / "run.jsonl") as journal, journaled(journal):
-            rep = repeat_mean(lambda s: 7.0, repetitions=2, seed=0)
+            rep = simulate(lambda s: 7.0, reps=2, seed=0, backend="object")
         assert rep.mean == 7.0
         assert journal.misses == 0 and len(journal) == 0
 

@@ -4,7 +4,8 @@ from __future__ import annotations
 
 import pytest
 
-from repro.experiments.runner import Replication, repeat_mean
+from repro.experiments.runner import Replication
+from repro.experiments.simulate import simulate
 from repro.sim.rng import RandomStreams
 
 
@@ -34,8 +35,10 @@ class TestReplication:
 
 
 class TestRepeatMean:
+    """The object-backend replication loop behind ``simulate()``."""
+
     def test_deterministic_function(self):
-        rep = repeat_mean(lambda streams: 7.0, repetitions=4)
+        rep = simulate(lambda streams: 7.0, reps=4, backend="object")
         assert rep.mean == 7.0
         assert rep.std == 0.0
 
@@ -47,32 +50,38 @@ class TestRepeatMean:
             seen.append(value)
             return value
 
-        repeat_mean(measure, repetitions=3, seed=1)
+        simulate(measure, reps=3, seed=1, backend="object")
         assert len(set(seen)) == 3
 
     def test_reproducible_across_calls(self):
         def measure(streams: RandomStreams) -> float:
             return float(streams.get("x").random())
 
-        a = repeat_mean(measure, repetitions=3, seed=9)
-        b = repeat_mean(measure, repetitions=3, seed=9)
+        a = simulate(measure, reps=3, seed=9, backend="object")
+        b = simulate(measure, reps=3, seed=9, backend="object")
         assert a.values == b.values
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            repeat_mean(lambda s: 0.0, repetitions=0)
+            simulate(lambda s: 0.0, reps=0, backend="object")
 
     def test_parallel_values_bit_identical_to_serial(self):
-        serial = repeat_mean(_stream_draw, repetitions=6, seed=21, workers=1)
-        parallel = repeat_mean(_stream_draw, repetitions=6, seed=21, workers=4)
+        serial = simulate(_stream_draw, reps=6, seed=21, workers=1, backend="object")
+        parallel = simulate(_stream_draw, reps=6, seed=21, workers=4, backend="object")
         assert parallel.values == serial.values
 
     def test_unpicklable_measure_falls_back_to_serial(self):
         # A lambda cannot cross the process-pool boundary; the executor
         # must transparently re-run serially with identical values.
-        serial = repeat_mean(lambda s: float(s.get("x").random()), repetitions=3, seed=2)
-        fallback = repeat_mean(
-            lambda s: float(s.get("x").random()), repetitions=3, seed=2, workers=4
+        serial = simulate(
+            lambda s: float(s.get("x").random()), reps=3, seed=2, backend="object"
+        )
+        fallback = simulate(
+            lambda s: float(s.get("x").random()),
+            reps=3,
+            seed=2,
+            workers=4,
+            backend="object",
         )
         assert fallback.values == serial.values
 

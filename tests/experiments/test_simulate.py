@@ -4,7 +4,7 @@ Covers the API-redesign contract: backend resolution (argument > env
 var > vector default), counted automatic fallback to the object
 oracle, vector/object statistical parity, bit-identical lane chunking
 under workers, non-finite quarantine masking, the ToDict round trip,
-journaled replay, and the ``repeat_mean`` deprecation shim.
+and journaled replay.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ import pytest
 
 from repro.core.workload import ApplicationProfile
 from repro.experiments.journal import RunJournal, journaled
-from repro.experiments.runner import Replication, repeat_mean
+from repro.experiments.runner import Replication
 from repro.experiments.simulate import (
     BACKEND_ENV,
     BatchResult,
@@ -324,24 +324,6 @@ class TestJournaledReplay:
         with journaled(journal):
             simulate(_spec(), reps=3, seed=13, backend="object")
         assert journal.misses == 1
-
-
-class TestDeprecatedAlias:
-    def test_repeat_mean_warns_and_forwards(self):
-        with pytest.warns(DeprecationWarning, match="repeat_mean"):
-            rep = repeat_mean(lambda s: 4.0, repetitions=3, seed=0)
-        assert isinstance(rep, BatchResult)
-        assert rep.backend == "object"
-        assert rep.values == (4.0, 4.0, 4.0)
-
-    def test_alias_matches_simulate(self):
-        def measure(streams):
-            return float(streams.get("x").random())
-
-        with pytest.warns(DeprecationWarning):
-            old = repeat_mean(measure, repetitions=4, seed=3)
-        new = simulate(measure, reps=4, seed=3, backend="object")
-        assert old.values == new.values
 
 
 class TestCLIBackendThreading:

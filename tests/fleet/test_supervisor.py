@@ -261,6 +261,159 @@ class TestRecoveryVerification:
             assert answer.confidence is Confidence.ANALYTIC
 
 
+class TestCatchUp:
+    """Respawn replay rounds end under load, and every round verifies.
+
+    The deterministic tests freeze automatic supervision
+    (``tick_interval`` of an hour) so each replay round is handled by
+    an explicit ``tick(force=True)`` at a known point of the feed.
+    """
+
+    MANUAL = SupervisorPolicy(
+        heartbeat_interval=0.3,
+        heartbeat_timeout=2.0,
+        tick_interval=3600.0,
+        containment=FailurePolicy(deadline=1.5),
+    )
+
+    @staticmethod
+    def _respawn_and_await_first_round(service, sid) -> int:
+        """SIGKILL *sid*'s worker, tick until it respawns, and wait for
+        its first replay round to be answered (the answer is left in
+        the pipe, unhandled). Returns the journal seq the round covers
+        up to."""
+        os.kill(service.worker_pid(sid), signal.SIGKILL)
+        deadline = time.monotonic() + 30.0
+        while service.worker_state(sid) != WorkerHandle.REPLAYING:
+            assert time.monotonic() < deadline, "worker never respawned"
+            service.tick(force=True)
+            time.sleep(0.01)
+        upto = service.log.next_seq
+        assert service._workers[sid].conn.poll(30.0), "first round never answered"
+        return upto
+
+    @staticmethod
+    def _feed_until(service, events, done) -> None:
+        while not done():
+            service.apply(next(events))
+
+    @staticmethod
+    def _corrupt_owned_line(path, sid, lo) -> tuple[int, str]:
+        """Corrupt the first journal line at or past seq *lo* that shard
+        *sid* owns; returns its index and original text. The line keeps
+        its length, so the live log's later appends stay intact."""
+        lines = path.read_text(encoding="utf-8").splitlines()
+        for i, line in enumerate(lines):
+            event = json.loads(line)
+            if event["seq"] >= lo and event["machine"] % SHARDS == sid:
+                lines[i] = line[:-1] + "X"
+                path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+                return i, line
+        raise AssertionError(f"no journal line at seq >= {lo} owned by shard {sid}")
+
+    def test_respawn_goes_live_under_a_steady_feed(self, tmp_path):
+        history, paced, interval = 3000, 1500, 0.004
+        expected = oracle_hash(tmp_path, seed=83, events=history + paced)
+        feed = list(synthetic_feed(seed=83, events=history + paced, machines=MACHINES))
+        with make_supervised(tmp_path) as service:
+            for event in feed[:history]:
+                service.apply(event)
+            os.kill(service.worker_pid(1), signal.SIGKILL)
+            start = time.monotonic()
+            live_after = None
+            for i, event in enumerate(feed[history:]):
+                service.apply(event)
+                if live_after is None and service.rebuilds:
+                    live_after = time.monotonic() - start
+                    assert service.worker_state(1) == WorkerHandle.LIVE
+                time.sleep(max(0.0, start + (i + 1) * interval - time.monotonic()))
+            # The feed never paused, yet the respawned worker went live
+            # while it ran (it takes ~6 s; a catch-up takes well under 1 s).
+            assert live_after is not None, "respawn never caught up with the feed"
+            assert live_after < 4.0
+            assert service.await_recovery(timeout=60.0)
+            assert service.recovery_mismatches == 0
+            assert service.state_hash() == expected
+
+    def test_corrupt_line_in_a_delta_round_keeps_shard_quarantined(self, tmp_path):
+        feed = synthetic_feed(seed=61, events=400, machines=MACHINES)
+        with make_supervised(tmp_path, supervisor=self.MANUAL) as service:
+            self._feed_until(service, feed, lambda: service.log.next_seq >= 200)
+            upto = self._respawn_and_await_first_round(service, 1)
+            # A delta round smaller than the first one: not a handover.
+            self._feed_until(service, feed, lambda: service.log.next_seq >= upto + 60)
+            self._corrupt_owned_line(service.log.path, 1, upto)
+            first_round = sum(
+                1
+                for event in EventLog.replay(service.log.path)
+                if event["seq"] < upto and event["machine"] % SHARDS == 1
+            )
+            deadline = time.monotonic() + 30.0
+            while service.recovery_mismatches == 0:
+                assert time.monotonic() < deadline, "delta-round mismatch never surfaced"
+                service.tick(force=True)
+                time.sleep(0.01)
+            # The first round verified; the delta round after it failed.
+            assert service.worker_state(1) == WorkerHandle.DEAD
+            assert not service._workers[1].handover
+            assert 1 in service.quarantined
+            error = service.last_recovery_error
+            assert isinstance(error, RecoveryError)
+            assert error.shard_id == 1
+            assert first_round <= error.replayed_events < error.expected_events
+            answer = service.query(
+                "t0", PlacementQuery(dcomp_frontend=1.0, candidates=(1, 5, 9, 13))
+            )
+            assert answer.confidence is Confidence.ANALYTIC
+
+    def test_failed_handover_drops_queued_frames_and_recovers(self, tmp_path):
+        events = 900
+        expected = oracle_hash(tmp_path, seed=67, events=events)
+        feed = synthetic_feed(seed=67, events=events, machines=MACHINES)
+        with make_supervised(tmp_path, supervisor=self.MANUAL) as service:
+            self._feed_until(service, feed, lambda: service.log.next_seq >= 200)
+            upto = self._respawn_and_await_first_round(service, 1)
+            # A delta at least as large as the first round: the handover.
+            self._feed_until(service, feed, lambda: service.log.next_seq >= 2 * upto)
+            path = service.log.path
+            index, original = self._corrupt_owned_line(path, 1, upto)
+            pid = service.worker_pid(1)
+            os.kill(pid, signal.SIGSTOP)  # hold the handover round unread
+            try:
+                service.tick(force=True)
+                assert service._workers[1].handover
+                assert service.worker_state(1) == WorkerHandle.REPLAYING
+                assert 1 in service.quarantined
+                # Events admitted now are framed behind the handover round.
+                depth = service.worker_depth(1)
+                self._feed_until(
+                    service, feed, lambda: service.worker_depth(1) >= depth + 3
+                )
+                answer = service.query(
+                    "t0", PlacementQuery(dcomp_frontend=1.0, candidates=(1, 5, 9, 13))
+                )
+                assert answer.confidence is Confidence.ANALYTIC
+            finally:
+                os.kill(pid, signal.SIGCONT)
+            deadline = time.monotonic() + 30.0
+            while service.recovery_mismatches == 0:
+                assert time.monotonic() < deadline, "handover mismatch never surfaced"
+                service.tick(force=True)
+                time.sleep(0.01)
+            assert service.worker_state(1) == WorkerHandle.DEAD
+            assert 1 in service.quarantined
+            # Repair the journal; the respawn replays the dropped frames.
+            lines = path.read_text(encoding="utf-8").splitlines()
+            lines[index] = original
+            path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+            for event in feed:
+                service.apply(event)
+            assert service.await_recovery(timeout=60.0)
+            assert service.recovery_mismatches == 1
+            assert service.respawns >= 2
+            assert service.state_hash() == expected
+
+
 class TestBackpressureAccounting:
     def test_worker_depth_and_states_exposed(self, tmp_path):
         with make_supervised(tmp_path) as service:

@@ -9,7 +9,7 @@ from repro.apps.contender import churned, cpu_bound
 from repro.errors import ProbeError
 from repro.experiments.calibrate import calibrate_paragon, measure_delay_comp
 from repro.experiments.chaos import chaos_experiment
-from repro.experiments.runner import repeat_mean
+from repro.experiments.simulate import simulate
 from repro.platforms.sunparagon import SunParagonPlatform
 from repro.reliability import (
     NO_FAULTS,
@@ -161,6 +161,8 @@ class TestZeroFaultIdentity:
 
 
 class TestRepeatMeanRetry:
+    """Replication retries on the object backend of ``simulate()``."""
+
     def test_retries_with_resalted_fork(self):
         calls: list[int] = []
 
@@ -170,7 +172,7 @@ class TestRepeatMeanRetry:
                 raise ProbeError("first replication attempt fails")
             return float(streams.seed)
 
-        rep = repeat_mean(flaky, repetitions=2, seed=4, retry_attempts=3)
+        rep = simulate(flaky, reps=2, seed=4, retry_attempts=3, backend="object")
         assert rep.n == 2
         assert len(calls) == 3  # one retry for replication 0
         assert calls[0] != calls[1]  # the retry used a re-salted fork
@@ -180,21 +182,21 @@ class TestRepeatMeanRetry:
             raise ProbeError("nope")
 
         with pytest.raises(ProbeError):
-            repeat_mean(flaky, repetitions=1, seed=4)
+            simulate(flaky, reps=1, seed=4, backend="object")
 
     def test_non_repro_errors_propagate(self):
         def bug(streams: RandomStreams) -> float:
             raise TypeError("a bug")
 
         with pytest.raises(TypeError):
-            repeat_mean(bug, repetitions=1, seed=4, retry_attempts=5)
+            simulate(bug, reps=1, seed=4, retry_attempts=5, backend="object")
 
     def test_deterministic_across_calls(self):
         def measure(streams: RandomStreams) -> float:
             return float(streams.get("x").random())
 
-        a = repeat_mean(measure, repetitions=3, seed=8, retry_attempts=2)
-        b = repeat_mean(measure, repetitions=3, seed=8, retry_attempts=2)
+        a = simulate(measure, reps=3, seed=8, retry_attempts=2, backend="object")
+        b = simulate(measure, reps=3, seed=8, retry_attempts=2, backend="object")
         assert a.values == b.values
 
 

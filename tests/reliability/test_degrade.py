@@ -5,13 +5,9 @@ from __future__ import annotations
 import pytest
 
 from repro.core.params import DelayTable, SizedDelayTable
-from repro.core.prediction import (
-    BackendTaskCosts,
-    decide_placement,
-    decide_placement_tagged,
-)
+from repro.core.prediction import BackendTaskCosts, decide_placement
 from repro.core.runtime import SlowdownManager
-from repro.core.scheduler import MappingProblem, best_mapping, best_mapping_tagged
+from repro.core.scheduler import MappingProblem, best_mapping
 from repro.core.workload import ApplicationProfile
 from repro.reliability import (
     Confidence,
@@ -164,14 +160,6 @@ class TestTaggedPrediction:
             max(1.2, 0.6 * 4.0)
         )
 
-    def test_deprecated_alias_warns_and_agrees(self):
-        comp = TaggedSlowdown(2.0, Confidence.CALIBRATED)
-        comm = TaggedSlowdown(1.5, Confidence.EXTRAPOLATED)
-        with pytest.warns(DeprecationWarning):
-            old = decide_placement_tagged(3.0, self.COSTS, 0.4, 0.4, comp, comm)
-        new = decide_placement(3.0, self.COSTS, 0.4, 0.4, comp, comm)
-        assert old == new
-
 
 class TestTaggedMapping:
     PROBLEM = MappingProblem(
@@ -215,9 +203,3 @@ class TestTaggedMapping:
             },
         )
         assert tagged.confidence is Confidence.EXTRAPOLATED
-
-    def test_deprecated_alias_warns_and_agrees(self):
-        slowdowns = {"m1": TaggedSlowdown(3.0, Confidence.EXTRAPOLATED)}
-        with pytest.warns(DeprecationWarning):
-            old = best_mapping_tagged(self.PROBLEM, slowdowns)
-        assert old == best_mapping(self.PROBLEM, slowdowns)
